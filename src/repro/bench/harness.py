@@ -157,7 +157,7 @@ def _load_one(system: str, host: Host, workload: Workload, seed: int) -> int:
     engine = Engine("probe", pool, store, redo, meter)
     engine.initialize()
     workload.load(engine, WorkloadRng(seed))
-    host.dram_regions.remove(region)
+    host.free_dram(region)
     return len(store)
 
 
@@ -186,7 +186,7 @@ def _build_instance(
     loader.initialize()
     workload.load(loader, rng.fork(0))
     n_pages = len(store)
-    host.dram_regions.remove(load_region)
+    host.free_dram(load_region)
 
     # The instance's LLC share is small relative to any real working set
     # (a 16 MB slice against hundreds of GB); scale the timing cache so
@@ -368,7 +368,7 @@ def build_sharing_setup(
     loader.initialize()
     workload.load(loader, WorkloadRng(seed))
     n_pages = len(store)
-    loader_host.dram_regions.remove(load_region)
+    loader_host.free_dram(load_region)
 
     lock_service = PageLockService(sim, config=config)
     schema = workload.schema()

@@ -32,7 +32,7 @@ import json
 import pathlib
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..hardware.cache import LineCacheModel
 from ..hardware.memory import (
@@ -267,9 +267,9 @@ def _cxl_timing(config: LatencyConfig) -> MemoryTiming:
     )
 
 
-def _build_mapped(optimized: bool, region_bytes: int):
+def _build_mapped(optimized: bool, region_bytes: int, timing: MemoryTiming | None = None):
     region = MemoryRegion("perf", region_bytes, volatile=False)
-    timing = _cxl_timing(LatencyConfig())
+    timing = timing or _cxl_timing(LatencyConfig())
     if optimized:
         meter = AccessMeter()
         mapped = MappedMemory(region, timing, meter, LineCacheModel(1 << 20), "cxl")
@@ -625,12 +625,23 @@ def bench_explore() -> dict:
 
 
 def check_equivalence(n_accesses: int = 20_000) -> None:
-    """Assert optimized and reference metering charge identical state."""
+    """Assert optimized and reference metering charge identical state.
+
+    Three sides replay one access sequence: the frozen reference, one
+    optimized ``read`` per access, and ``charge_accesses`` over visits of
+    1-7 accesses at a page base (the page-snapshot path). All three must
+    agree on charged nanoseconds (bitwise), counters, transfer lists,
+    line-cache hits/misses and LRU order. The line latencies are inexact
+    floats, so a batch that pre-summed its charges would round apart.
+    """
     region_bytes = 1 << 20
-    opt, opt_meter = _build_mapped(True, region_bytes)
-    ref, ref_meter = _build_mapped(False, region_bytes)
+    timing = replace(_cxl_timing(LatencyConfig()), miss_ns=265.2, hit_ns=18.3)
+    opt, opt_meter = _build_mapped(True, region_bytes, timing)
+    batched, batched_meter = _build_mapped(True, region_bytes, timing)
+    ref, ref_meter = _build_mapped(False, region_bytes, timing)
     # A mix of line-cached small reads (several sizes/alignments, some
-    # straddling lines) and burst reads, identical on both sides.
+    # straddling lines) and burst reads, identical on all sides.
+    accesses = []
     for i in range(n_accesses):
         offset = (i * 4093) % (region_bytes - PAGE)
         if not i % 97:
@@ -639,18 +650,32 @@ def check_equivalence(n_accesses: int = 20_000) -> None:
             nbytes = 200
         else:
             nbytes = 8 + (i % 3) * 61  # 8 / 69 / 130 B, may straddle lines
+        accesses.append((offset, nbytes))
         opt.read(offset, nbytes)
         ref.read(offset, nbytes)
-    if opt_meter.ns != ref_meter.ns:
-        raise AssertionError(
-            f"optimized metering diverged: ns {opt_meter.ns} != {ref_meter.ns}"
-        )
-    if opt_meter.counters != ref_meter.counters:
-        raise AssertionError("optimized metering diverged: counters differ")
-    opt_t = [(c.pipe_key, c.nbytes, c.base_ns) for c in opt_meter.transfers]
+    start = 0
+    while start < len(accesses):
+        visit = accesses[start : start + 1 + start % 7]
+        base = min(offset for offset, _ in visit)
+        batched.charge_accesses(base, [(offset - base, nbytes) for offset, nbytes in visit])
+        start += len(visit)
     ref_t = [(c.pipe_key, c.nbytes, c.base_ns) for c in ref_meter.transfers]
-    if opt_t != ref_t:
-        raise AssertionError("optimized metering diverged: transfers differ")
+    ref_cache = ref.line_cache
+    ref_lru = [line for _, line in ref_cache._lines]
+    for name, mapped, meter in (("optimized", opt, opt_meter), ("batched", batched, batched_meter)):
+        if meter.ns.hex() != ref_meter.ns.hex():
+            raise AssertionError(
+                f"{name} metering diverged: ns {meter.ns} != {ref_meter.ns}"
+            )
+        if meter.counters != ref_meter.counters:
+            raise AssertionError(f"{name} metering diverged: counters differ")
+        if [(c.pipe_key, c.nbytes, c.base_ns) for c in meter.transfers] != ref_t:
+            raise AssertionError(f"{name} metering diverged: transfers differ")
+        cache = mapped.line_cache
+        if (cache.hits, cache.misses) != (ref_cache.hits, ref_cache.misses):
+            raise AssertionError(f"{name} metering diverged: line-cache hits/misses differ")
+        if [key - mapped._line_key_base for key in cache._lines] != ref_lru:
+            raise AssertionError(f"{name} metering diverged: line-cache LRU order differs")
 
 
 # ---------------------------------------------------------------------------

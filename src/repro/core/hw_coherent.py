@@ -79,6 +79,7 @@ class HwCoherentSharedPool(BufferPool):
         self.meter = meter
         self.config = config or LatencyConfig()
         self.line_cache = line_cache or LineCacheModel(capacity_bytes=4 << 20)
+        self._line_key_base = self.line_cache.line_key_base(region.name)
         self._data_offset: dict[int, int] = {}
         self._pins: dict[int, int] = {}
 
@@ -138,7 +139,7 @@ class HwCoherentSharedPool(BufferPool):
     def _charge(self, offset: int, nbytes: int, write: bool) -> None:
         first = offset // CACHE_LINE
         last = (offset + max(nbytes, 1) - 1) // CACHE_LINE
-        _, misses = self.line_cache.touch_range(self.region.name, first, last)
+        _, misses = self.line_cache.touch_range(self._line_key_base, first, last)
         lines = last - first + 1
         hit_cost = (lines - misses) * 18.0
         miss_cost = misses * self.config.cxl_switch_local_ns

@@ -44,7 +44,7 @@ from .constants import (
     leaf_capacity,
 )
 from .mtr import MiniTransaction
-from .page import PageView
+from .page import PageReader, PageView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import Engine
@@ -98,11 +98,15 @@ class BTree:
     def lookup(self, mtr: MiniTransaction, key: int) -> Optional[bytes]:
         """Return the payload for ``key``, or None."""
         leaf = self._descend_to_leaf(mtr, key)
-        idx, found = self._leaf_search(leaf, key)
-        if not found:
+        page = leaf.snapshot()
+        idx, found = self._leaf_search(page, key)
+        payload = None
+        if found:
+            slot = page.read_u16(self._dir_offset(idx))
+            payload = page.read(self._heap_offset(slot) + KEY_BYTES, self.payload_size)
+        page.release()
+        if payload is None:
             return None
-        slot = self._dir_slot(leaf, idx)
-        payload = leaf.read(self._heap_offset(slot) + KEY_BYTES, self.payload_size)
         self.engine.meter.charge_ns(
             self.engine.cost.record_copy_ns_per_byte * self.payload_size
         )
@@ -115,7 +119,7 @@ class BTree:
                 f"payload is {len(payload)} bytes, tree stores {self.payload_size}"
             )
         path, leaf = self._descend(mtr, key, latch_leaf=True)
-        idx, found = self._leaf_search(leaf, key)
+        idx, found = self._find(leaf, key)
         if found:
             raise DuplicateKeyError(key)
         if self._leaf_full(leaf):
@@ -138,10 +142,13 @@ class BTree:
         if field_offset < 0 or field_offset + len(data) > self.payload_size:
             raise ValueError("update outside the payload")
         path, leaf = self._descend(mtr, key, latch_leaf=True)
-        idx, found = self._leaf_search(leaf, key)
+        page = leaf.snapshot()
+        idx, found = self._leaf_search(page, key)
+        if found:
+            slot = page.read_u16(self._dir_offset(idx))
+        page.release()
         if not found:
             return False
-        slot = self._dir_slot(leaf, idx)
         offset = self._heap_offset(slot) + KEY_BYTES + field_offset
         mtr.write(leaf, offset, data)
         self.engine.meter.charge_ns(self.engine.cost.write_apply_ns)
@@ -157,7 +164,7 @@ class BTree:
         single child collapses, shrinking the tree.
         """
         path, leaf = self._descend(mtr, key, latch_leaf=True)
-        idx, found = self._leaf_search(leaf, key)
+        idx, found = self._find(leaf, key)
         if not found:
             return False
         self._leaf_delete_at(mtr, leaf, idx)
@@ -177,30 +184,31 @@ class BTree:
         probes pay random-access costs.
         """
         out: list[tuple[int, bytes]] = []
+        record_size = self.record_size
         leaf = self._descend_to_leaf(mtr, start_key)
-        idx, _ = self._leaf_search(leaf, start_key)
+        page = leaf.snapshot()
+        idx, _ = self._leaf_search(page, start_key)
         while len(out) < count:
-            nrecs = leaf.nrecs
-            heap_count = leaf.heap_count
+            nrecs = page.read_u16(OFF_NRECS)
+            heap_count = page.read_u16(OFF_HEAP_COUNT)
             if idx < nrecs and heap_count:
-                heap = leaf.read(
-                    PAGE_HEADER_SIZE, heap_count * self.record_size
-                )
+                heap = page.read(PAGE_HEADER_SIZE, heap_count * record_size)
                 while idx < nrecs and len(out) < count:
-                    slot = self._dir_slot(leaf, idx)
-                    record = heap[
-                        slot * self.record_size : (slot + 1) * self.record_size
-                    ]
+                    slot = page.read_u16(self._dir_offset(idx))
+                    record = heap[slot * record_size : (slot + 1) * record_size]
                     out.append((_U64.unpack_from(record)[0], record[KEY_BYTES:]))
                     idx += 1
             if len(out) >= count:
                 break
-            next_leaf = leaf.next_leaf
+            next_leaf = page.read_u64(OFF_NEXT_LEAF)
             if next_leaf == 0:
                 break
+            page.release()
             leaf = mtr.get_page(next_leaf)
             self.engine.meter.charge_ns(self.engine.cost.btree_level_ns)
+            page = leaf.snapshot()
             idx = 0
+        page.release()
         self.engine.meter.charge_ns(
             self.engine.cost.record_copy_ns_per_byte * self.payload_size * len(out)
         )
@@ -245,9 +253,11 @@ class BTree:
         self.engine.meter.charge_ns(self.engine.cost.btree_level_ns)
         path: list[tuple[PageView, int]] = []
         while view.page_type == PT_INTERNAL:
-            child_idx = self._internal_child_index(view, key)
+            page = view.snapshot()
+            child_idx = self._internal_child_index(page, key)
+            child_id = page.read_u64(self._entry_offset(child_idx) + KEY_BYTES)
+            page.release()
             path.append((view, child_idx))
-            child_id = self._internal_child(view, child_idx)
             view = mtr.get_page(child_id)
             self.engine.meter.charge_ns(self.engine.cost.btree_level_ns)
         if latch_leaf:
@@ -273,15 +283,20 @@ class BTree:
         slot = self._dir_slot(leaf, rank)
         return leaf.read_u64(self._heap_offset(slot))
 
-    def _leaf_search(self, leaf: PageView, key: int) -> tuple[int, bool]:
+    def _leaf_search(self, page: PageReader, key: int) -> tuple[int, bool]:
         """Binary search the directory: (rank, exact-match?).
 
-        On a miss the rank is where the key would be inserted.
+        On a miss the rank is where the key would be inserted. ``page``
+        is a view or an open snapshot of the leaf.
         """
-        lo, hi = 0, leaf.nrecs
-        while lo < hi:
+        read_u16 = page.read_u16
+        read_u64 = page.read_u64
+        record_size = self.record_size
+        lo, hi = 0, read_u16(OFF_NRECS)
+        while lo < hi:  # _dir_offset and _heap_offset inlined: the hottest loop
             mid = (lo + hi) // 2
-            mid_key = self._leaf_key_at_rank(leaf, mid)
+            slot = read_u16(PAGE_SIZE - SLOT_BYTES * (mid + 1))
+            mid_key = read_u64(PAGE_HEADER_SIZE + slot * record_size)
             if mid_key < key:
                 lo = mid + 1
             elif mid_key > key:
@@ -289,6 +304,13 @@ class BTree:
             else:
                 return mid, True
         return lo, False
+
+    def _find(self, leaf: PageView, key: int) -> tuple[int, bool]:
+        """:meth:`_leaf_search` in one snapshot visit of ``leaf``."""
+        page = leaf.snapshot()
+        found = self._leaf_search(page, key)
+        page.release()
+        return found
 
     def _leaf_full(self, leaf: PageView) -> bool:
         return leaf.heap_count >= self.capacity and leaf.first_free == NO_FREE_SLOT
@@ -372,12 +394,13 @@ class BTree:
     def _internal_child(self, node: PageView, index: int) -> int:
         return node.read_u64(self._entry_offset(index) + KEY_BYTES)
 
-    def _internal_child_index(self, node: PageView, key: int) -> int:
+    def _internal_child_index(self, page: PageReader, key: int) -> int:
         """Rightmost entry with separator <= key (entry 0 is -inf)."""
-        lo, hi = 1, node.nrecs
-        while lo < hi:
+        read_u64 = page.read_u64
+        lo, hi = 1, page.read_u16(OFF_NRECS)
+        while lo < hi:  # _entry_offset inlined
             mid = (lo + hi) // 2
-            if self._internal_key(node, mid) <= key:
+            if read_u64(PAGE_HEADER_SIZE + mid * INTERNAL_ENTRY_BYTES) <= key:
                 lo = mid + 1
             else:
                 hi = mid
@@ -438,9 +461,8 @@ class BTree:
         self._insert_separator(mtr, path, leaf, new_leaf, split_key, level=0)
 
         if key >= split_key:
-            rank = self._leaf_search(new_leaf, key)[0]
-            return new_leaf, rank
-        return leaf, self._leaf_search(leaf, key)[0]
+            return new_leaf, self._find(new_leaf, key)[0]
+        return leaf, self._find(leaf, key)[0]
 
     def _insert_separator(
         self,

@@ -20,14 +20,14 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Union
 
-from ..hardware.memory import MappedMemory
+from ..hardware.memory import MappedMemory, WindowedMemory
 from ..obs.spans import active as spans_active
 from ..obs.trace import active as obs_active
 from ..storage.pagestore import PageStore
 from .constants import OFF_LSN, PAGE_SIZE
-from .page import PageView, format_empty_page
+from .page import PageSnapshot, PageView, format_empty_page, raise_outside_page
 
 __all__ = ["BufferPool", "LocalBufferPool", "OffsetAccessor", "BufferPoolFullError"]
 
@@ -37,19 +37,41 @@ class BufferPoolFullError(RuntimeError):
 
 
 class OffsetAccessor:
-    """A page accessor over a metered memory window at a fixed base."""
+    """A page accessor over metered memory at a fixed base.
+
+    Given a :class:`~repro.hardware.memory.WindowedMemory`, it binds the
+    window's underlying :class:`~repro.hardware.memory.MappedMemory` at
+    the absolute base, once checking that the page lies inside the
+    window; each access then makes one page-bounds check (rejecting
+    negative sizes) before anything is charged.
+    """
 
     __slots__ = ("mapped", "base")
 
-    def __init__(self, mapped: MappedMemory, base: int) -> None:
-        self.mapped = mapped
+    def __init__(self, mem: Union[MappedMemory, WindowedMemory], base: int) -> None:
+        if isinstance(mem, WindowedMemory):
+            if base < 0 or base + PAGE_SIZE > mem.size:
+                raise IndexError(f"page at {base} outside window of size {mem.size}")
+            base += mem.base
+            mem = mem.mapped
+        elif base < 0 or base + PAGE_SIZE > mem.region.size:
+            raise IndexError(f"page at {base} outside region of size {mem.region.size}")
+        self.mapped = mem
         self.base = base
 
     def read(self, offset: int, nbytes: int) -> bytes:
+        if offset < 0 or nbytes < 0 or offset + nbytes > PAGE_SIZE:
+            raise_outside_page(offset, nbytes)
         return self.mapped.read(self.base + offset, nbytes)
 
     def write(self, offset: int, data: bytes) -> None:
+        if offset < 0 or offset + len(data) > PAGE_SIZE:
+            raise_outside_page(offset, len(data))
         self.mapped.write(self.base + offset, data)
+
+    def snapshot(self) -> PageSnapshot:
+        """A read-only view of the page's bytes that meters its probes."""
+        return PageSnapshot(self.mapped, self.base)
 
 
 class BufferPool(ABC):

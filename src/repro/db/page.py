@@ -15,7 +15,7 @@ for recovery replay and pool-internal initialization.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Protocol
+from typing import TYPE_CHECKING, Optional, Protocol, Union
 
 from .constants import (
     NO_FREE_SLOT,
@@ -30,11 +30,18 @@ from .constants import (
     PAGE_SIZE,
 )
 
-__all__ = ["PageAccessor", "PageView", "format_empty_page"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..hardware.memory import MappedMemory
+
+__all__ = ["PageAccessor", "PageReader", "PageSnapshot", "PageView", "format_empty_page"]
 
 _U64 = struct.Struct("<Q")
 _U16 = struct.Struct("<H")
 _U8 = struct.Struct("<B")
+
+
+def raise_outside_page(offset: int, nbytes: int) -> None:
+    raise IndexError(f"access [{offset}, {offset + nbytes}) outside a {PAGE_SIZE} B page")
 
 
 class PageAccessor(Protocol):
@@ -68,6 +75,23 @@ class PageView:
     def image(self) -> bytes:
         """The full page image (used when flushing to storage)."""
         return self.accessor.read(0, PAGE_SIZE)
+
+    # -- read-only visits -----------------------------------------------------------
+
+    def snapshot(self) -> PageReader:
+        """A reader for one read-only visit; call ``release()`` when done.
+
+        An accessor over metered memory hands out a :class:`PageSnapshot`,
+        which decodes the page's bytes in place and charges all the probes
+        at release. Any other accessor (the sharing scenario's CPU cache,
+        whose lines may be stale copies) keeps per-access reads: the view
+        itself is the reader and its ``release`` does nothing.
+        """
+        snapshot = getattr(self.accessor, "snapshot", None)
+        return self if snapshot is None else snapshot()
+
+    def release(self) -> None:
+        """End a visit begun with :meth:`snapshot` (nothing to charge here)."""
 
     # -- typed helpers ---------------------------------------------------------------
 
@@ -139,3 +163,58 @@ def format_empty_page(page_id: int, page_type: int, level: int = 0) -> bytes:
     _U16.pack_into(image, OFF_HEAP_COUNT, 0)
     _U16.pack_into(image, OFF_FIRST_FREE, NO_FREE_SLOT)
     return bytes(image)
+
+
+class PageSnapshot:
+    """One read-only visit to a page in metered memory.
+
+    Reads decode straight from a ``memoryview`` of the page's bytes and
+    record ``(offset, nbytes)``; :meth:`release` charges the recorded
+    probes, in order, through
+    :meth:`~repro.hardware.memory.MappedMemory.charge_accesses` — the
+    charges, MemSan events and tracer counts of one metered read per
+    probe. Only valid while nothing writes the page: open it, read,
+    release, then write or move to another page.
+    """
+
+    __slots__ = ("_buf", "_accesses", "_mapped", "_base")
+
+    def __init__(self, mapped: MappedMemory, base: int) -> None:
+        self._buf = mapped.region.view(base, PAGE_SIZE)
+        self._accesses: list[tuple[int, int]] = []
+        self._mapped = mapped
+        self._base = base
+
+    def read(self, offset: int, nbytes: int) -> bytes:
+        if offset < 0 or nbytes < 0 or offset + nbytes > PAGE_SIZE:
+            raise_outside_page(offset, nbytes)
+        self._accesses.append((offset, nbytes))
+        return self._buf[offset : offset + nbytes].tobytes()
+
+    def read_u64(self, offset: int) -> int:
+        if offset < 0 or offset > PAGE_SIZE - 8:
+            raise_outside_page(offset, 8)
+        self._accesses.append((offset, 8))
+        return _U64.unpack_from(self._buf, offset)[0]
+
+    def read_u16(self, offset: int) -> int:
+        if offset < 0 or offset > PAGE_SIZE - 2:
+            raise_outside_page(offset, 2)
+        self._accesses.append((offset, 2))
+        return _U16.unpack_from(self._buf, offset)[0]
+
+    def read_u8(self, offset: int) -> int:
+        if offset < 0 or offset >= PAGE_SIZE:
+            raise_outside_page(offset, 1)
+        self._accesses.append((offset, 1))
+        return self._buf[offset]
+
+    def release(self) -> None:
+        """Charge every probe of the visit, in the order it was made."""
+        self._mapped.charge_accesses(self._base, self._accesses)
+        self._buf.release()
+
+
+# What a read-only visit decodes from: the view itself (per-access reads)
+# or an open snapshot of it (see PageView.snapshot).
+PageReader = Union[PageView, PageSnapshot]

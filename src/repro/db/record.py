@@ -37,7 +37,12 @@ class Field:
 
 
 class RecordCodec:
-    """Encode/decode rows of a fixed schema; expose per-field offsets."""
+    """Encode/decode rows of a fixed schema; expose per-field offsets.
+
+    The whole row is one precompiled :class:`struct.Struct` (ints as
+    ``B``/``H``/``I``/``Q``, byte strings as ``Ns``, little-endian and
+    unpadded), so a row costs one pack or unpack call.
+    """
 
     def __init__(self, fields: Sequence[Field]) -> None:
         if not fields:
@@ -52,19 +57,27 @@ class RecordCodec:
             self._offsets[field.name] = (offset, field)
             offset += field.size
         self.record_size = offset
+        self._names = tuple(names)
+        self._byte_fields = tuple(f.kind == "bytes" for f in self.fields)
+        self._struct = struct.Struct(
+            "<"
+            + "".join(
+                _INT_FORMATS[f.size][1] if f.kind == "int" else f"{f.size}s"
+                for f in self.fields
+            )
+        )
 
     def encode(self, row: Mapping[str, Any]) -> bytes:
-        """Pack a row dict into its fixed-width payload."""
-        out = bytearray(self.record_size)
-        for field in self.fields:
-            offset, _ = self._offsets[field.name]
-            value = row[field.name]
-            if field.kind == "int":
-                struct.pack_into(_INT_FORMATS[field.size], out, offset, value)
-            else:
-                data = bytes(value)[: field.size]
-                out[offset : offset + len(data)] = data
-        return bytes(out)
+        """Pack a row dict into its fixed-width payload.
+
+        Byte fields are truncated or zero-padded to their width.
+        """
+        return self._struct.pack(
+            *[
+                bytes(row[name]) if is_bytes else row[name]
+                for name, is_bytes in zip(self._names, self._byte_fields)
+            ]
+        )
 
     def decode(self, payload: bytes) -> dict[str, Any]:
         """Unpack a payload into a row dict (byte fields keep padding)."""
@@ -72,16 +85,7 @@ class RecordCodec:
             raise ValueError(
                 f"payload is {len(payload)} bytes, schema needs {self.record_size}"
             )
-        row: dict[str, Any] = {}
-        for field in self.fields:
-            offset, _ = self._offsets[field.name]
-            if field.kind == "int":
-                row[field.name] = struct.unpack_from(
-                    _INT_FORMATS[field.size], payload, offset
-                )[0]
-            else:
-                row[field.name] = payload[offset : offset + field.size]
-        return row
+        return dict(zip(self._names, self._struct.unpack(payload)))
 
     def field_offset(self, name: str) -> int:
         """Byte offset of a field within the payload (partial updates)."""

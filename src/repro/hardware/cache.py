@@ -36,52 +36,61 @@ __all__ = ["LineCacheModel", "CpuCache"]
 
 
 class LineCacheModel(LineCacheProtocol):
-    """Timing-only LRU cache over (region, line) keys.
+    """Timing-only LRU cache over (region, line) lines.
+
+    The LRU is keyed by ints, ``line_key_base(region) + line``: each
+    region name gets its own block of ``REGION_LINES`` keys on first
+    use, so keys never collide and a probe hashes one int instead of
+    building a ``(name, line)`` tuple. The LRU order is the one the
+    tuple keys gave.
 
     >>> cache = LineCacheModel(capacity_bytes=1024)
     >>> cache.touch("dram", 0)        # cold: miss, line inserted
     False
     >>> cache.touch("dram", 0)        # warm: hit
     True
-    >>> cache.touch_range("dram", 0, 3)   # 1 warm line + 3 cold ones
+    >>> cache.touch_range(cache.line_key_base("dram"), 0, 3)  # 1 warm + 3 cold
     (1, 3)
     """
+
+    # Lines per region key block: regions up to 64 TiB.
+    REGION_LINES = 1 << 40
 
     def __init__(self, capacity_bytes: int = 32 << 20) -> None:
         if capacity_bytes < CACHE_LINE:
             raise ValueError("cache smaller than one line")
         self.capacity_lines = capacity_bytes // CACHE_LINE
-        self._lines: OrderedDict[tuple[str, int], None] = OrderedDict()
+        self._lines: OrderedDict[int, None] = OrderedDict()
+        self._key_bases: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
 
+    def line_key_base(self, region_name: str) -> int:
+        """The key of line 0 of ``region_name`` (assigned on first use)."""
+        base = self._key_bases.get(region_name)
+        if base is None:
+            base = self._key_bases[region_name] = (
+                len(self._key_bases) * self.REGION_LINES
+            )
+        return base
+
     def touch(self, region_name: str, line: int) -> bool:
         """Access a line; returns True on hit. Inserts on miss."""
-        key = (region_name, line)
-        lines = self._lines
-        if key in lines:
-            lines.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        lines[key] = None
-        if len(lines) > self.capacity_lines:
-            lines.popitem(last=False)
-        return False
+        base = self.line_key_base(region_name)
+        return self.touch_range(base, line, line)[0] == 1
 
     def touch_range(
-        self, region_name: str, first_line: int, last_line: int
+        self, key_base: int, first_line: int, last_line: int
     ) -> tuple[int, int]:
-        """Coalesced probe of ``first_line..last_line`` inclusive.
+        """Probe lines ``first_line..last_line`` inclusive of one region.
 
-        Exactly equivalent to calling :meth:`touch` per line (same LRU
-        moves, same insertion and eviction order), but with the dict,
-        bound methods and capacity hoisted out of the loop — the single
-        hottest call in every metered small access.
+        Line by line: a hit moves the line to the MRU end, a miss inserts
+        it there and evicts the LRU line past capacity. The single-line
+        access, which dominates, takes a path with nothing hoisted.
         """
         lines = self._lines
-        if first_line == last_line:  # the common single-line access
-            key = (region_name, first_line)
+        if first_line == last_line:
+            key = key_base + first_line
             if key in lines:
                 lines.move_to_end(key)
                 self.hits += 1
@@ -96,8 +105,7 @@ class LineCacheModel(LineCacheProtocol):
         capacity = self.capacity_lines
         hits = 0
         misses = 0
-        for line in range(first_line, last_line + 1):
-            key = (region_name, line)
+        for key in range(key_base + first_line, key_base + last_line + 1):
             if key in lines:
                 move_to_end(key)
                 hits += 1
@@ -111,13 +119,18 @@ class LineCacheModel(LineCacheProtocol):
         return hits, misses
 
     def drop_region(self, region_name: str) -> None:
+        base = self._key_bases.get(region_name)
+        if base is None:
+            return
+        end = base + self.REGION_LINES
         self._lines = OrderedDict(
-            (key, None) for key in self._lines if key[0] != region_name
+            (key, None) for key in self._lines if not base <= key < end
         )
 
     def drop_lines(self, region_name: str, first_line: int, last_line: int) -> None:
+        base = self.line_key_base(region_name)
         for line in range(first_line, last_line + 1):
-            self._lines.pop((region_name, line), None)
+            self._lines.pop(base + line, None)
 
     def clear(self) -> None:
         self._lines.clear()

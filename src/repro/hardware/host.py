@@ -119,6 +119,16 @@ class Host:
         self.dram_regions.append(region)
         return region
 
+    def free_dram(self, region: MemoryRegion) -> None:
+        """Give a DRAM region back; its bytes are released at once.
+
+        Engines form reference cycles, so a dropped loader engine would
+        otherwise keep its region's bytes alive until a full garbage
+        collection happens to run.
+        """
+        self.dram_regions.remove(region)
+        region.free()
+
     def map_dram(
         self,
         region: MemoryRegion,

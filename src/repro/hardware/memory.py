@@ -17,7 +17,7 @@ settles inside the discrete-event simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..analysis.memsan import active as memsan_active
 from ..obs.spans import active as spans_active
@@ -52,31 +52,36 @@ class MemoryRegion:
         self._poisoned = False
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        if self._poisoned:
-            raise PoisonedMemoryError(
-                f"region {self.name!r} lost its contents in a power failure; "
-                "call power_restore() before reuse"
-            )
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
-            self._check(offset, nbytes)
+        if self._poisoned or offset < 0 or nbytes < 0 or offset + nbytes > self.size:
+            self._reject(offset, nbytes)
         ms = memsan_active()
         if ms is not None:
             ms.raw_load(self.name, offset, nbytes)
         return bytes(self._data[offset : offset + nbytes])
 
     def write(self, offset: int, data: bytes) -> None:
-        if self._poisoned:
-            raise PoisonedMemoryError(
-                f"region {self.name!r} lost its contents in a power failure; "
-                "call power_restore() before reuse"
-            )
         nbytes = len(data)
-        if offset < 0 or offset + nbytes > self.size:
-            self._check(offset, nbytes)
+        if self._poisoned or offset < 0 or offset + nbytes > self.size:
+            self._reject(offset, nbytes)
         ms = memsan_active()
         if ms is not None:
             ms.raw_store(self.name, offset, nbytes)
         self._data[offset : offset + nbytes] = data
+
+    def view(self, offset: int, nbytes: int) -> memoryview:
+        """The live bytes of a range, for a caller that meters its own reads.
+
+        No MemSan event here: whoever decodes from the view reports each
+        load (see :meth:`MappedMemory.charge_accesses`).
+        """
+        if self._poisoned or offset < 0 or nbytes < 0 or offset + nbytes > self.size:
+            self._reject(offset, nbytes)
+        return memoryview(self._data)[offset : offset + nbytes]
+
+    def free(self) -> None:
+        """Release the bytes; every later access is out of bounds."""
+        self._data = bytearray()
+        self.size = 0
 
     def power_fail(self) -> None:
         """Simulate power loss. Volatile regions are poisoned until restored.
@@ -103,12 +108,17 @@ class MemoryRegion:
     def poisoned(self) -> bool:
         return self._poisoned
 
-    def _check(self, offset: int, nbytes: int) -> None:
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
-            raise IndexError(
-                f"access [{offset}, {offset + nbytes}) outside region "
-                f"{self.name!r} of size {self.size}"
+    def _reject(self, offset: int, nbytes: int) -> None:
+        """Raise for an access that must not happen (callers test first)."""
+        if self._poisoned:
+            raise PoisonedMemoryError(
+                f"region {self.name!r} lost its contents in a power failure; "
+                "call power_restore() before reuse"
             )
+        raise IndexError(
+            f"access [{offset}, {offset + nbytes}) outside region "
+            f"{self.name!r} of size {self.size}"
+        )
 
 
 class TransferCharge:
@@ -274,6 +284,7 @@ class MappedMemory:
         # Hot-path constants (MemoryTiming is frozen; region names and
         # counter keys never change after construction).
         self._region_name = region.name
+        self._line_key_base = line_cache.line_key_base(region.name)
         self._burst_threshold = timing.burst_threshold
         self._miss_ns = timing.miss_ns
         self._hit_ns = timing.hit_ns
@@ -307,12 +318,19 @@ class MappedMemory:
     # -- metered access --------------------------------------------------------
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        self._charge(offset, nbytes, write=False)
-        return self.region.read(offset, nbytes)
+        region = self.region
+        if region._poisoned or offset < 0 or nbytes < 0 or offset + nbytes > region.size:
+            region._reject(offset, nbytes)
+        self.charge_accesses(offset, ((0, nbytes),))
+        return bytes(region._data[offset : offset + nbytes])
 
     def write(self, offset: int, data: bytes) -> None:
-        self._charge(offset, len(data), write=True)
-        self.region.write(offset, data)
+        region = self.region
+        nbytes = len(data)
+        if region._poisoned or offset < 0 or offset + nbytes > region.size:
+            region._reject(offset, nbytes)
+        self.charge_accesses(offset, ((0, nbytes),), write=True)
+        region._data[offset : offset + nbytes] = data
 
     def read_unmetered(self, offset: int, nbytes: int) -> bytes:
         """Functional read with no timing charge (recovery bookkeeping)."""
@@ -323,58 +341,86 @@ class MappedMemory:
 
     # -- cost model -------------------------------------------------------------
 
-    def _charge(self, offset: int, nbytes: int, write: bool) -> None:
+    def charge_accesses(
+        self, base: int, accesses: Iterable[tuple[int, int]], write: bool = False
+    ) -> None:
+        """Charge each ``(offset, nbytes)`` access at ``base + offset``, in order.
+
+        The one implementation of the cost model: :meth:`read` and
+        :meth:`write` charge their single access here, and a page
+        snapshot (:class:`~repro.db.page.PageSnapshot`) charges all the
+        probes of one visit here at once. Per access, exactly as if each
+        were its own metered call: one line-cache probe (or one burst),
+        one ``meter.ns +=`` (latencies are inexact floats, so they are
+        never pre-summed), the same counters, transfer charges, tracer
+        counts and span charge, then the MemSan raw load/store.
+        The caller has checked every access against the region bounds.
+        """
         meter = self.meter
-        tracer = obs_active()
-        if nbytes >= self._burst_threshold:
-            table = self._write_table if write else self._read_table
-            cache = table._cache
-            ns = cache.get(nbytes)
-            if ns is None:
-                ns = cache[nbytes] = table.base_ns + nbytes * table.ns_per_byte
-            meter.ns += ns
-            device_bytes = nbytes  # streamed: every byte crosses the link
-            if tracer is not None:
-                tracer.count(self._trace_burst_key, nbytes)
-        else:
-            first_line = offset // CACHE_LINE
-            last_line = (offset + nbytes - 1) // CACHE_LINE if nbytes > 1 else first_line
-            hits, misses = self.line_cache.touch_range(
-                self._region_name, first_line, last_line
-            )
-            ns = misses * self._miss_ns + hits * self._hit_ns
-            meter.ns += ns
-            # Only cache misses generate device/link traffic, at line
-            # granularity — a hot B-tree root costs the CXL link nothing.
-            device_bytes = misses * CACHE_LINE
-            if tracer is not None:
-                if hits:
-                    tracer.count(self._trace_hits_key, hits)
-                if misses:
-                    tracer.count(self._trace_misses_key, misses)
-        spans = spans_active()
-        if spans is not None:
-            spans.add_ns(self._span_kind, ns)
         counters = meter.counters
-        key = self._touched_key
-        counters[key] = counters.get(key, 0.0) + nbytes
-        if device_bytes:
-            if tracer is not None:
-                tracer.count(self._trace_device_key, device_bytes)
-            pipe_key = self._pipe_key
-            if pipe_key is not None:
-                # Inlined AccessMeter.charge_transfer with precomputed
-                # counter keys — this runs once per device transfer.
-                if device_bytes == CACHE_LINE:
-                    meter.transfers.append(self._line_charge)
+        transfers = meter.transfers
+        tracer = obs_active()
+        spans = spans_active()
+        ms = memsan_active()
+        touch_range = self.line_cache.touch_range
+        line_key_base = self._line_key_base
+        burst_threshold = self._burst_threshold
+        miss_ns = self._miss_ns
+        hit_ns = self._hit_ns
+        touched_key = self._touched_key
+        pipe_key = self._pipe_key
+        for offset, nbytes in accesses:
+            offset += base
+            if nbytes >= burst_threshold:
+                table = self._write_table if write else self._read_table
+                cache = table._cache
+                ns = cache.get(nbytes)
+                if ns is None:
+                    ns = cache[nbytes] = table.base_ns + nbytes * table.ns_per_byte
+                meter.ns += ns
+                device_bytes = nbytes  # streamed: every byte crosses the link
+                if tracer is not None:
+                    tracer.count(self._trace_burst_key, nbytes)
+            else:
+                first_line = offset // CACHE_LINE
+                last_line = (
+                    (offset + nbytes - 1) // CACHE_LINE if nbytes > 1 else first_line
+                )
+                hits, misses = touch_range(line_key_base, first_line, last_line)
+                ns = misses * miss_ns + hits * hit_ns
+                meter.ns += ns
+                # Only cache misses generate device/link traffic, at line
+                # granularity — a hot B-tree root costs the CXL link nothing.
+                device_bytes = misses * CACHE_LINE
+                if tracer is not None:
+                    if hits:
+                        tracer.count(self._trace_hits_key, hits)
+                    if misses:
+                        tracer.count(self._trace_misses_key, misses)
+            if spans is not None:
+                spans.add_ns(self._span_kind, ns)
+            counters[touched_key] = counters.get(touched_key, 0.0) + nbytes
+            if device_bytes:
+                if tracer is not None:
+                    tracer.count(self._trace_device_key, device_bytes)
+                if pipe_key is not None:
+                    # Inlined AccessMeter.charge_transfer with precomputed
+                    # counter keys — this runs once per device transfer.
+                    if device_bytes == CACHE_LINE:
+                        transfers.append(self._line_charge)
+                    else:
+                        transfers.append(
+                            TransferCharge(pipe_key, device_bytes, self._pipe_base_ns)
+                        )
+                    key = self._pipe_bytes_key
+                    counters[key] = counters.get(key, 0.0) + device_bytes
+                    key = self._pipe_ops_key
+                    counters[key] = counters.get(key, 0.0) + 1
+            if ms is not None:
+                if write:
+                    ms.raw_store(self._region_name, offset, nbytes)
                 else:
-                    meter.transfers.append(
-                        TransferCharge(pipe_key, device_bytes, self._pipe_base_ns)
-                    )
-                key = self._pipe_bytes_key
-                counters[key] = counters.get(key, 0.0) + device_bytes
-                key = self._pipe_ops_key
-                counters[key] = counters.get(key, 0.0) + 1
+                    ms.raw_load(self._region_name, offset, nbytes)
 
 
 class WindowedMemory:
@@ -395,7 +441,7 @@ class WindowedMemory:
         self.size = size
 
     def _check(self, offset: int, nbytes: int) -> None:
-        if offset < 0 or offset + nbytes > self.size:
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
             raise IndexError(
                 f"access [{offset}, {offset + nbytes}) outside window of "
                 f"size {self.size}"
@@ -419,32 +465,20 @@ class WindowedMemory:
 
 
 class LineCacheProtocol:
-    """Interface for the timing-only CPU cache model."""
+    """Interface for the timing-only CPU cache model.
 
-    def touch(self, region_name: str, line: int) -> bool:  # pragma: no cover
+    Lines are keyed by plain ints: each region gets a disjoint key range
+    from :meth:`line_key_base`, and line ``n`` of it is ``base + n``.
+    """
+
+    def line_key_base(self, region_name: str) -> int:  # pragma: no cover
         raise NotImplementedError
 
     def touch_range(
-        self, region_name: str, first_line: int, last_line: int
-    ) -> tuple[int, int]:
-        """Touch ``first_line..last_line`` inclusive; return (hits, misses).
-
-        Default implementation probes line by line via :meth:`touch`, so
-        custom timing caches only need to override ``touch``; the
-        concrete :class:`~repro.hardware.cache.LineCacheModel` overrides
-        this with a coalesced probe.
-        """
-        hits = 0
-        touch = self.touch
-        for line in range(first_line, last_line + 1):
-            if touch(region_name, line):
-                hits += 1
-        return hits, (last_line - first_line + 1) - hits
-
-    def drop_region(self, region_name: str) -> None:  # pragma: no cover
+        self, key_base: int, first_line: int, last_line: int
+    ) -> tuple[int, int]:  # pragma: no cover
+        """Touch ``first_line..last_line`` inclusive; return (hits, misses)."""
         raise NotImplementedError
 
-    def drop_lines(
-        self, region_name: str, first_line: int, last_line: int
-    ) -> None:  # pragma: no cover
+    def clear(self) -> None:  # pragma: no cover
         raise NotImplementedError

@@ -188,3 +188,80 @@ class TestWindowedMemory:
         window.write_unmetered(0, b"zz")
         assert window.read_unmetered(0, 2) == b"zz"
         assert meter.ns == 0
+
+
+class TestRejectedAccessIsNotCharged:
+    """An access that raises must leave the meter and line cache untouched."""
+
+    @staticmethod
+    def _untouched(mapped: MappedMemory) -> None:
+        meter, cache = mapped.meter, mapped.line_cache
+        assert meter.ns == 0.0
+        assert meter.transfers == []
+        assert meter.counters == {}
+        assert (cache.hits, cache.misses, len(cache._lines)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("offset, nbytes", [(100, -5), (-1, 4), (120, 16)])
+    def test_window(self, offset, nbytes):
+        mapped = _mapped("cxl", AccessMeter(), LineCacheModel())
+        window = WindowedMemory(mapped, base=4096, size=128)
+        with pytest.raises(IndexError):
+            window.read(offset, nbytes)
+        self._untouched(mapped)
+
+    @pytest.mark.parametrize("offset, nbytes", [(100, -5), (-1, 4), ((1 << 20) - 4, 8)])
+    def test_mapped(self, offset, nbytes):
+        mapped = _mapped("cxl", AccessMeter(), LineCacheModel())
+        with pytest.raises(IndexError):
+            mapped.read(offset, nbytes)
+        self._untouched(mapped)
+
+    @pytest.mark.parametrize("offset", [-1, (1 << 20) - 4])
+    def test_mapped_write(self, offset):
+        mapped = _mapped("cxl", AccessMeter(), LineCacheModel())
+        with pytest.raises(IndexError):
+            mapped.write(offset, b"x" * 8)
+        self._untouched(mapped)
+
+    @pytest.mark.parametrize("offset, nbytes", [(100, -5), (-1, 4), (16380, 8)])
+    def test_page_accessor(self, offset, nbytes):
+        from repro.db.bufferpool import OffsetAccessor
+
+        mapped = _mapped("cxl", AccessMeter(), LineCacheModel())
+        # The page lies inside the window, the access does not lie inside
+        # the page (though (16380, 8) would still lie inside the window).
+        window = WindowedMemory(mapped, base=4096, size=4 * 16384)
+        accessor = OffsetAccessor(window, 16384)
+        with pytest.raises(IndexError):
+            accessor.read(offset, nbytes)
+        page = accessor.snapshot()
+        with pytest.raises(IndexError):
+            page.read(offset, nbytes)
+        page.release()
+        self._untouched(mapped)
+
+    def test_page_outside_window_rejected_at_construction(self):
+        from repro.db.bufferpool import OffsetAccessor
+
+        mapped = _mapped("cxl", AccessMeter(), LineCacheModel())
+        window = WindowedMemory(mapped, base=4096, size=16384 + 100)
+        OffsetAccessor(window, 0)
+        with pytest.raises(IndexError):
+            OffsetAccessor(window, 200)
+        with pytest.raises(IndexError):
+            OffsetAccessor(mapped, (1 << 20) - 100)
+
+    def test_poisoned_region(self):
+        from repro.db.bufferpool import OffsetAccessor
+
+        meter = AccessMeter()
+        region = MemoryRegion("d", 1 << 16, volatile=True)
+        mapped = MappedMemory(
+            region, dram_timing(LatencyConfig()), meter, LineCacheModel(), "dram"
+        )
+        region.power_fail()
+        with pytest.raises(PoisonedMemoryError):
+            mapped.read(0, 8)
+        with pytest.raises(PoisonedMemoryError):
+            OffsetAccessor(mapped, 0).snapshot()
+        self._untouched(mapped)
